@@ -39,12 +39,6 @@
 //!   comparison is labeled `channel-overhead-only`: the pool cannot
 //!   overlap anything there, so a speedup at or below 1.0 is the
 //!   expected cost of the channels, not a regression,
-//! * `block_memo`            — steady-state block timing memoization
-//!   over `BlockRetire` macro-events (DESIGN.md §16): wall seconds
-//!   with the memo on (shipping) vs off (the per-instruction oracle),
-//!   engine-side macro-event counters and timing-side memo hit/record
-//!   counters — with the two serialized reports asserted
-//!   byte-identical in the same run,
 //! * `guest_exec`            — the guest-layer fast path (DESIGN.md
 //!   §17): raw functional-emulation MIPS with the pre-decoded micro-op
 //!   buffers, lazy flags and width-native memory access on vs the
@@ -284,91 +278,6 @@ fn translation_block(scale: f64, reps: usize, workers: usize, cpus: usize) -> Tr
 }
 
 #[derive(Serialize)]
-struct BlockMemoBlock {
-    /// Best wall seconds with the memo on (the shipping default).
-    memo_wall_seconds: f64,
-    /// Best wall seconds with the memo off (per-instruction oracle).
-    oracle_wall_seconds: f64,
-    /// `oracle_wall_seconds / memo_wall_seconds`.
-    speedup: f64,
-    /// Engine side: `BlockRetire` macro-events emitted.
-    macro_events: u64,
-    /// Per-instruction `Retire` events those macro-events replaced.
-    insts_suppressed: u64,
-    /// Engine-side stream (re-)records.
-    engine_records: u64,
-    /// Engine-side memos dropped (evictions, flushes, gen bumps).
-    engine_invalidations: u64,
-    /// Blocks whose collection was abandoned after repeated changes.
-    abandoned: u64,
-    /// Timing side: macro-events whose footprint replayed (precondition
-    /// held, deltas bulk-applied).
-    memo_hits: u64,
-    /// Timing side: footprints recorded (first sight or stream change).
-    memo_records: u64,
-    /// Replays refused because touched state had changed underneath.
-    precondition_misses: u64,
-    /// Timing-side memos dropped for generation/stream mismatches.
-    memo_invalidations: u64,
-    /// Instructions whose timing came from a bulk-applied footprint.
-    insts_replayed: u64,
-}
-
-/// One full-system run with the memo switched on or off (both the
-/// engine's macro-event emission and the timing-side memoization).
-fn run_block_memo(
-    scale: f64,
-    on: bool,
-) -> (Report, darco_tol::EngineMemoStats, darco_timing::MemoStats, f64) {
-    let mut cfg = SystemConfig {
-        cosim: false,
-        app_only_pipeline: true,
-        tol_only_pipeline: true,
-        ..SystemConfig::default()
-    };
-    cfg.tol.block_memo = on;
-    cfg.timing.block_memo = on;
-    let w = generate(&suites::quicktest_profile(), scale);
-    let mut sys = System::new(w, cfg);
-    let t0 = std::time::Instant::now();
-    let report = sys.run_to_completion();
-    let secs = t0.elapsed().as_secs_f64();
-    (report, sys.tol().memo_stats(), sys.memo_stats(), secs)
-}
-
-fn block_memo_block(scale: f64, reps: usize) -> BlockMemoBlock {
-    let (memo_report, eng, tim, first_wall) = run_block_memo(scale, true);
-    let mut memo_wall = first_wall;
-    for _ in 1..reps.max(1) {
-        memo_wall = memo_wall.min(run_block_memo(scale, true).3);
-    }
-    let (oracle_report, _, _, oracle_first) = run_block_memo(scale, false);
-    let mut oracle_wall = oracle_first;
-    for _ in 1..reps.max(1) {
-        oracle_wall = oracle_wall.min(run_block_memo(scale, false).3);
-    }
-    // The tentpole guarantee: memoization changes wall-clock only.
-    let memo_json = serde_json::to_string(&memo_report).expect("serialize");
-    let oracle_json = serde_json::to_string(&oracle_report).expect("serialize");
-    assert_eq!(memo_json, oracle_json, "block memoization changed the serialized report");
-    BlockMemoBlock {
-        memo_wall_seconds: memo_wall,
-        oracle_wall_seconds: oracle_wall,
-        speedup: oracle_wall / memo_wall,
-        macro_events: eng.macro_events,
-        insts_suppressed: eng.insts_suppressed,
-        engine_records: eng.records,
-        engine_invalidations: eng.invalidations,
-        abandoned: eng.abandoned,
-        memo_hits: tim.hits,
-        memo_records: tim.records,
-        precondition_misses: tim.precondition_misses,
-        memo_invalidations: tim.invalidations,
-        insts_replayed: tim.insts_replayed,
-    }
-}
-
-#[derive(Serialize)]
 struct GuestExecBlock {
     /// Guest instructions retired to `Halt` (identical on both paths by
     /// construction — asserted).
@@ -525,7 +434,6 @@ struct BenchReport {
     analysis: AnalysisBlock,
     code_cache: CodeCacheBlock,
     translation: TranslationBlock,
-    block_memo: BlockMemoBlock,
     guest_exec: GuestExecBlock,
 }
 
@@ -776,7 +684,6 @@ fn main() {
             std::thread::available_parallelism().map_or(1, |n| n.get()),
             cpus,
         ),
-        block_memo: block_memo_block(scale, reps),
         guest_exec: guest_exec_block(scale, reps),
     };
     let json = serde_json::to_string_pretty(&summary).expect("serialize report");

@@ -30,11 +30,6 @@
 //!                               worker per pipeline); results are
 //!                               bit-identical
 //!          --threaded-timing    alias for --timing-backend threaded
-//!          --block-memo on|off  steady-state block timing memoization
-//!                               over macro-retire events (default on);
-//!                               off expands every block through the
-//!                               per-instruction oracle — reports are
-//!                               byte-identical either way
 //!          --guest-fast-path on|off
 //!                               guest-layer fast path: pre-decoded
 //!                               micro-op buffers with lazy flag
@@ -92,7 +87,7 @@ fn usage() {
     eprintln!(
         "darco <list|run|run-set|verify|analyze|trace|disasm|timeline|export-profile> [benchmark ...] \
          [--profile FILE] [--scale S] [--cache-policy flush|fifo] [--cosim] \
-         [--timing-backend auto|inline|threaded|fanout] [--threaded-timing] [--block-memo on|off] \
+         [--timing-backend auto|inline|threaded|fanout] [--threaded-timing] \
          [--guest-fast-path on|off] [--translate-workers N] [--jobs N] [--n N] [--json]"
     );
 }
@@ -105,8 +100,6 @@ struct Opts {
     cache_policy: CachePolicy,
     /// `None` keeps [`TolConfig`]'s default (available parallelism).
     translate_workers: Option<usize>,
-    /// `None` keeps both configs' default (on).
-    block_memo: Option<bool>,
     /// `None` keeps [`TolConfig`]'s default (on).
     guest_fast_path: Option<bool>,
     n: usize,
@@ -120,20 +113,8 @@ impl Opts {
         if let Some(w) = self.translate_workers {
             tol.translate_workers = w;
         }
-        if let Some(on) = self.block_memo {
-            tol.block_memo = on;
-        }
         if let Some(on) = self.guest_fast_path {
             tol.guest_fast_path = on;
-        }
-    }
-
-    /// Applies the optional flags onto a full system config (the memo
-    /// switch spans the engine and the timing side).
-    fn apply_system(&self, cfg: &mut SystemConfig) {
-        self.apply_tol(&mut cfg.tol);
-        if let Some(on) = self.block_memo {
-            cfg.timing.block_memo = on;
         }
     }
 }
@@ -167,7 +148,6 @@ fn parse(rest: &[String]) -> Opts {
     let mut timing_backend = TimingBackendKind::Auto;
     let mut cache_policy = CachePolicy::Flush;
     let mut translate_workers = None;
-    let mut block_memo = None;
     let mut guest_fast_path = None;
     let mut n = 20;
     let mut json = false;
@@ -206,10 +186,6 @@ fn parse(rest: &[String]) -> Opts {
                         .unwrap_or_else(|| bail("--translate-workers needs a count")),
                 );
             }
-            "--block-memo" => {
-                let v = it.next().unwrap_or_else(|| bail("--block-memo needs on|off"));
-                block_memo = Some(parse_on_off("--block-memo", v));
-            }
             "--guest-fast-path" => {
                 let v = it.next().unwrap_or_else(|| bail("--guest-fast-path needs on|off"));
                 guest_fast_path = Some(parse_on_off("--guest-fast-path", v));
@@ -240,7 +216,6 @@ fn parse(rest: &[String]) -> Opts {
         timing_backend,
         cache_policy,
         translate_workers,
-        block_memo,
         guest_fast_path,
         n,
         json,
@@ -283,7 +258,7 @@ fn run(rest: &[String]) {
         timing_backend: o.timing_backend,
         ..SystemConfig::default()
     };
-    o.apply_system(&mut cfg);
+    o.apply_tol(&mut cfg.tol);
     let mut sys = System::new(generate(&o.profile, o.scale), cfg);
     let report = sys.run_to_completion();
     if o.json {
@@ -307,7 +282,6 @@ fn run_set(rest: &[String]) {
     let mut timing_backend = TimingBackendKind::Auto;
     let mut cache_policy = CachePolicy::Flush;
     let mut translate_workers: Option<usize> = None;
-    let mut block_memo: Option<bool> = None;
     let mut guest_fast_path: Option<bool> = None;
     let mut json = false;
     let mut it = rest.iter();
@@ -346,10 +320,6 @@ fn run_set(rest: &[String]) {
                         .unwrap_or_else(|| bail("--translate-workers needs a count")),
                 );
             }
-            "--block-memo" => {
-                let v = it.next().unwrap_or_else(|| bail("--block-memo needs on|off"));
-                block_memo = Some(parse_on_off("--block-memo", v));
-            }
             "--guest-fast-path" => {
                 let v = it.next().unwrap_or_else(|| bail("--guest-fast-path needs on|off"));
                 guest_fast_path = Some(parse_on_off("--guest-fast-path", v));
@@ -380,10 +350,6 @@ fn run_set(rest: &[String]) {
     cfg.tol.cache_policy = cache_policy;
     if let Some(w) = translate_workers {
         cfg.tol.translate_workers = w;
-    }
-    if let Some(on) = block_memo {
-        cfg.tol.block_memo = on;
-        cfg.timing.block_memo = on;
     }
     if let Some(on) = guest_fast_path {
         cfg.tol.guest_fast_path = on;
@@ -423,7 +389,7 @@ fn verify(rest: &[String]) {
     let o = parse(rest);
     eprintln!("verifying {} at scale {} ...", o.profile.name, o.scale);
     let mut cfg = SystemConfig { cosim: true, ..SystemConfig::default() };
-    o.apply_system(&mut cfg);
+    o.apply_tol(&mut cfg.tol);
     cfg.tol.verify = true;
     let mut sys = System::new(generate(&o.profile, o.scale), cfg);
     let report = sys.run_to_completion();
@@ -466,7 +432,7 @@ fn analyze(rest: &[String]) {
         timing_backend: o.timing_backend,
         ..SystemConfig::default()
     };
-    o.apply_system(&mut cfg);
+    o.apply_tol(&mut cfg.tol);
     let mut sys = System::new(w, cfg);
     let report = sys.run_to_completion();
     if o.json {
@@ -672,7 +638,7 @@ fn timeline(rest: &[String]) {
     let o = parse(rest);
     let mut cfg =
         SystemConfig { cosim: false, window_guest_insts: 50_000, ..SystemConfig::default() };
-    o.apply_system(&mut cfg);
+    o.apply_tol(&mut cfg.tol);
     let mut sys = System::new(generate(&o.profile, o.scale), cfg);
     let r = sys.run_to_completion();
     println!(

@@ -18,8 +18,8 @@
 
 use crate::checker::StateChecker;
 use crate::system::{SystemConfig, Window};
-use darco_host::{BlockId, DynInst, HostEvent, HostEventSink, Owner, TraceStatsSink};
-use darco_timing::{BlockMemo, MemoStats, Pipeline, Stats};
+use darco_host::{HostEvent, HostEventSink, Owner, TraceStatsSink};
+use darco_timing::{MemoStats, Pipeline, Stats};
 use serde::{Deserialize, Serialize};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -67,12 +67,6 @@ struct PipelineSink {
     pipeline: Pipeline,
     timeline: Vec<Window>,
     last_mark: WindowMark,
-    /// Block timing memo for `BlockRetire` macro-events; `None` expands
-    /// every macro-event through the per-instruction oracle
-    /// ([`TimingConfig::block_memo`]).
-    ///
-    /// [`TimingConfig::block_memo`]: darco_timing::TimingConfig::block_memo
-    memo: Option<BlockMemo>,
 }
 
 impl PipelineSink {
@@ -82,30 +76,6 @@ impl PipelineSink {
             pipeline: Pipeline::new(cfg.timing.clone()),
             timeline: Vec::new(),
             last_mark: WindowMark::default(),
-            memo: cfg.timing.block_memo.then(BlockMemo::new),
-        }
-    }
-
-    /// Consumes one `BlockRetire` macro-event: replay the memoized
-    /// timing footprint when it provably applies, expand through the
-    /// per-instruction pipeline otherwise. Macro-event streams carry
-    /// application code only, so the TOL-only pipeline drops them
-    /// whole.
-    fn block_retire(&mut self, block: BlockId, insts: &Arc<[DynInst]>) {
-        debug_assert!(
-            insts.iter().all(|d| d.owner() == Owner::App),
-            "macro-events carry application code only"
-        );
-        if self.role == PipelineRole::TolOnly {
-            return;
-        }
-        match &mut self.memo {
-            Some(memo) => memo.replay_or_record(&mut self.pipeline, block, insts),
-            None => {
-                for d in insts.iter() {
-                    self.pipeline.retire(d);
-                }
-            }
         }
     }
 
@@ -142,9 +112,6 @@ impl HostEventSink for PipelineSink {
                     if mine {
                         self.pipeline.retire(d);
                     }
-                }
-                HostEvent::BlockRetire { block, insts, .. } => {
-                    self.block_retire(*block, insts);
                 }
                 HostEvent::WindowMark { guest_insts }
                     if self.role == PipelineRole::Shared
@@ -193,17 +160,11 @@ impl TimingSink {
         )
     }
 
-    /// Block-memo statistics merged across the attached pipelines
-    /// (simulator-speed side only — never part of a serialized
-    /// [`Report`](crate::Report)).
+    /// Always-zero counters of the removed block-timing memo, kept only
+    /// because the repository benchmark (`perfbench/`) reads them; see
+    /// [`MemoStats`].
     pub fn memo_stats(&self) -> MemoStats {
-        let mut s = MemoStats::default();
-        for u in std::iter::once(&self.shared).chain(&self.app_only).chain(&self.tol_only) {
-            if let Some(m) = &u.memo {
-                s.merge(&m.stats());
-            }
-        }
-        s
+        MemoStats::default()
     }
 }
 
@@ -227,14 +188,6 @@ impl HostEventSink for TimingSink {
                                 u.pipeline.retire(d);
                             }
                         }
-                    }
-                }
-                HostEvent::BlockRetire { block, insts, .. } => {
-                    // Application code only: the TOL-only pipeline (its
-                    // `block_retire` is a no-op) is skipped outright.
-                    self.shared.block_retire(*block, insts);
-                    if let Some(u) = &mut self.app_only {
-                        u.block_retire(*block, insts);
                     }
                 }
                 HostEvent::WindowMark { guest_insts }

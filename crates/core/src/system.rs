@@ -129,7 +129,6 @@ pub struct System {
     emu_mem: darco_guest::GuestMem,
     checker: Option<StateChecker>,
     static_insts: u32,
-    memo_stats: darco_timing::MemoStats,
 }
 
 impl System {
@@ -147,15 +146,7 @@ impl System {
             chk.set_fast_path(cfg.tol.guest_fast_path);
             chk
         });
-        System {
-            name: w.name,
-            tol,
-            emu_mem,
-            checker,
-            static_insts: w.static_insts,
-            memo_stats: darco_timing::MemoStats::default(),
-            cfg,
-        }
+        System { name: w.name, tol, emu_mem, checker, static_insts: w.static_insts, cfg }
     }
 
     /// Convenience: generates the profile's workload at scale 1.0 and
@@ -170,18 +161,6 @@ impl System {
     /// serialized [`Report`].
     pub fn tol(&self) -> &Tol {
         &self.tol
-    }
-
-    /// Timing-side block-memo statistics of the last
-    /// [`System::run_to_completion`] (merged across the attached
-    /// pipelines). Simulator-speed material only — deliberately not part
-    /// of the serialized [`Report`], which stays byte-identical across
-    /// [`TimingConfig::block_memo`](darco_timing::TimingConfig::block_memo)
-    /// settings. The engine-side counterpart is
-    /// [`Tol::memo_stats`](darco_tol::Tol::memo_stats) via
-    /// [`System::tol`].
-    pub fn memo_stats(&self) -> darco_timing::MemoStats {
-        self.memo_stats
     }
 
     /// Runs the workload to completion (or the configured cap) and
@@ -242,7 +221,6 @@ impl System {
                 );
             }
         }
-        self.memo_stats = timing.memo_stats();
         let (shared, app_only, tol_only, timeline) = timing.into_parts();
         Report {
             name: self.name.clone(),

@@ -62,14 +62,17 @@ const L0_EMPTY: L0Entry = L0Entry { pn: u32::MAX, slot: 0 };
 /// Page storage is a slot table (`slots`) addressed through an index map;
 /// pages are never deallocated, so slot indices are stable for the life
 /// of the address space and can be cached in the L0 page-pointer cache.
+/// Generation stamps live beside the frames, one per slot: a page is
+/// allocated by its first write, so every present page has a non-zero
+/// stamp and an absent page needs none.
 #[derive(Debug, Clone)]
 pub struct GuestMem {
     /// Page frames. Stable: pages are only ever appended.
     slots: Vec<Box<[u8; PAGE_SIZE]>>,
     /// Page number -> index into `slots`.
     index: std::collections::HashMap<u32, u32>,
-    /// Write generation per touched page (absent pages are generation 0).
-    gens: std::collections::HashMap<u32, u64>,
+    /// Write generation of each slot's page, indexed like `slots`.
+    gens: Vec<u64>,
     write_gen: u64,
     /// Gates the width-native access paths and the L0 cache. Off = the
     /// original per-byte oracle path.
@@ -85,7 +88,7 @@ impl Default for GuestMem {
         GuestMem {
             slots: Vec::new(),
             index: std::collections::HashMap::new(),
-            gens: std::collections::HashMap::new(),
+            gens: Vec::new(),
             write_gen: 0,
             fast: true,
             l0: Cell::new([L0_EMPTY; L0_WAYS]),
@@ -146,20 +149,25 @@ impl GuestMem {
         }
     }
 
-    /// Returns the page frame for `pn`, allocating it (zero-filled) on
-    /// first touch.
+    /// Accounts for a write of `n` bytes within page `pn`:
+    /// advances the write-generation counter by `n`, stamps the page
+    /// with the new value, and returns its frame, allocating it
+    /// (zero-filled) on first touch.
     #[inline]
-    fn slot_mut(&mut self, pn: u32) -> &mut [u8; PAGE_SIZE] {
-        let slot = match self.index.get(&pn) {
-            Some(&s) => s,
+    fn write_page(&mut self, pn: u32, n: u64) -> &mut [u8; PAGE_SIZE] {
+        let slot = match self.slot_of(pn) {
+            Some(s) => s as usize,
             None => {
-                let s = self.slots.len() as u32;
+                let s = self.slots.len();
                 self.slots.push(Box::new([0u8; PAGE_SIZE]));
-                self.index.insert(pn, s);
+                self.gens.push(0);
+                self.index.insert(pn, s as u32);
                 s
             }
         };
-        &mut self.slots[slot as usize]
+        self.write_gen += n;
+        self.gens[slot] = self.write_gen;
+        &mut self.slots[slot]
     }
 
     /// Reads one byte. Untouched memory reads as zero.
@@ -174,10 +182,7 @@ impl GuestMem {
     /// Writes one byte, allocating the page if needed.
     #[inline]
     pub fn write_u8(&mut self, addr: u32, val: u8) {
-        let pn = addr >> PAGE_SHIFT;
-        self.write_gen += 1;
-        self.gens.insert(pn, self.write_gen);
-        self.slot_mut(pn)[(addr & PAGE_MASK) as usize] = val;
+        self.write_page(addr >> PAGE_SHIFT, 1)[(addr & PAGE_MASK) as usize] = val;
     }
 
     /// Write generation of the page containing `addr`: strictly
@@ -185,7 +190,7 @@ impl GuestMem {
     /// written is generation 0 (and reads as zero — see the module docs).
     #[inline]
     pub fn page_gen(&self, addr: u32) -> u64 {
-        self.gens.get(&(addr >> PAGE_SHIFT)).copied().unwrap_or(0)
+        self.slot_of(addr >> PAGE_SHIFT).map_or(0, |s| self.gens[s as usize])
     }
 
     /// The global write-generation counter (total bytes written).
@@ -221,10 +226,7 @@ impl GuestMem {
         if !self.fast || off > PAGE_SIZE - W {
             return false;
         }
-        let pn = addr >> PAGE_SHIFT;
-        self.write_gen += W as u64;
-        self.gens.insert(pn, self.write_gen);
-        self.slot_mut(pn)[off..off + W].copy_from_slice(&bytes);
+        self.write_page(addr >> PAGE_SHIFT, W as u64)[off..off + W].copy_from_slice(&bytes);
         true
     }
 
@@ -319,10 +321,7 @@ impl GuestMem {
         while !rest.is_empty() {
             let off = (a & PAGE_MASK) as usize;
             let n = rest.len().min(PAGE_SIZE - off);
-            let pn = a >> PAGE_SHIFT;
-            self.write_gen += n as u64;
-            self.gens.insert(pn, self.write_gen);
-            self.slot_mut(pn)[off..off + n].copy_from_slice(&rest[..n]);
+            self.write_page(a >> PAGE_SHIFT, n as u64)[off..off + n].copy_from_slice(&rest[..n]);
             a = a.wrapping_add(n as u32);
             rest = &rest[n..];
         }

@@ -23,18 +23,6 @@
 use crate::config::CacheParams;
 use crate::plru::PlruSet;
 
-/// One set's replacement-relevant state, captured in the normalized
-/// flat key encoding regardless of the underlying layout. The
-/// block-memo footprint stores these per touched set: equality means
-/// the set will respond to the block's probes exactly as recorded.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct SetState {
-    /// `(tag << 1) | 1` per valid way, `0` per invalid way.
-    pub(crate) keys: Vec<u64>,
-    /// Tree-PLRU bits.
-    pub(crate) plru: u64,
-}
-
 /// Result of a cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lookup {
@@ -239,65 +227,6 @@ impl Cache {
                 Lookup::Miss
             }
         }
-    }
-
-    /// Set index `addr` maps to (for the block-memo footprint).
-    pub(crate) fn set_of(&self, addr: u64) -> usize {
-        self.index(addr).0
-    }
-
-    /// Captures one set's replacement-relevant state in the normalized
-    /// flat encoding (`(tag << 1) | 1` per valid way, `0` per invalid
-    /// way, plus the PLRU tree bits). Identical for both layouts, so a
-    /// footprint recorded under one layout checks out under the other.
-    pub(crate) fn capture_set(&self, set_idx: usize) -> SetState {
-        let ways = self.ways as usize;
-        match &self.store {
-            Store::Flat { entries, plru } => SetState {
-                keys: entries[set_idx * ways..(set_idx + 1) * ways].to_vec(),
-                plru: plru[set_idx].bits(),
-            },
-            Store::Legacy { sets } => {
-                let set = &sets[set_idx];
-                SetState {
-                    keys: (0..ways)
-                        .map(|w| if set.valid[w] { (set.tags[w] << 1) | 1 } else { 0 })
-                        .collect(),
-                    plru: set.plru.bits(),
-                }
-            }
-        }
-    }
-
-    /// Restores one set's state from a normalized capture.
-    pub(crate) fn restore_set(&mut self, set_idx: usize, s: &SetState) {
-        let ways = self.ways as usize;
-        debug_assert_eq!(s.keys.len(), ways);
-        match &mut self.store {
-            Store::Flat { entries, plru } => {
-                entries[set_idx * ways..(set_idx + 1) * ways].copy_from_slice(&s.keys);
-                plru[set_idx].set_bits(s.plru);
-            }
-            Store::Legacy { sets } => {
-                let set = &mut sets[set_idx];
-                for w in 0..ways {
-                    set.valid[w] = s.keys[w] & 1 != 0;
-                    set.tags[w] = s.keys[w] >> 1;
-                }
-                set.plru.set_bits(s.plru);
-            }
-        }
-    }
-
-    /// Access/miss counters as a pair (for block-memo counter deltas).
-    pub(crate) fn counter_pair(&self) -> (u64, u64) {
-        (self.accesses, self.misses)
-    }
-
-    /// Bulk-advances the counters by recorded deltas.
-    pub(crate) fn add_counter_deltas(&mut self, accesses: u64, misses: u64) {
-        self.accesses += accesses;
-        self.misses += misses;
     }
 
     /// Demand accesses so far.

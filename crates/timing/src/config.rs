@@ -103,22 +103,6 @@ pub struct TimingConfig {
     /// idempotence. `false` keeps the full-probe oracle. Bit-exact
     /// either way — simulator-speed only.
     pub mem_shortcuts: bool,
-    /// Enable block timing memoization over `BlockRetire` macro-events:
-    /// steady-state translated blocks record a relativized timing
-    /// footprint once and later dispatches bulk-apply it after a
-    /// precondition check (see [`BlockMemo`](crate::BlockMemo) and
-    /// DESIGN.md §16). `false` expands every macro-event through the
-    /// per-instruction oracle. Bit-exact either way — simulator-speed
-    /// only.
-    #[serde(default = "default_block_memo")]
-    pub block_memo: bool,
-}
-
-/// Serde default for [`TimingConfig::block_memo`] (profiles written
-/// before the memo existed deserialize with it enabled).
-#[allow(dead_code)] // consumed via the serde attribute with real serde
-fn default_block_memo() -> bool {
-    true
 }
 
 impl Default for TimingConfig {
@@ -145,7 +129,6 @@ impl Default for TimingConfig {
             interaction: Interaction::Shared,
             flat_mem: true,
             mem_shortcuts: true,
-            block_memo: true,
         }
     }
 }
@@ -186,6 +169,5 @@ mod tests {
         let c = TimingConfig::default();
         assert!(c.flat_mem, "flat layout is the shipping default");
         assert!(c.mem_shortcuts, "hit shortcuts are the shipping default");
-        assert!(c.block_memo, "block memoization is the shipping default");
     }
 }

@@ -10,13 +10,12 @@
 //! always kept per owner so miss rates can be reported per entity either
 //! way.
 
-use crate::cache::{Cache, Lookup, SetState};
+use crate::cache::{Cache, Lookup};
 use crate::config::{Interaction, TimingConfig};
-use crate::prefetch::{Entry, StridePrefetcher};
+use crate::prefetch::StridePrefetcher;
 use crate::tlb::Tlb;
 use darco_host::layout::is_guest_addr;
 use darco_host::Owner;
-use std::collections::HashSet;
 
 /// Outcome of a data access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,51 +97,6 @@ pub struct MemSystem {
     last_d_line: Vec<u64>,
     d_line_shift: u32,
     shortcuts: bool,
-    /// Present while a block-memo recording dispatch is in flight:
-    /// captures the pre-state of everything the block touches, at first
-    /// touch, before the access mutates it.
-    rec: Option<Box<MemRecorder>>,
-}
-
-/// Which cache-like structure a footprint entry refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum MemUnit {
-    L1I,
-    L1D,
-    L2,
-    TlbL1,
-    TlbL2,
-}
-
-const MEM_UNITS: [MemUnit; 5] =
-    [MemUnit::L1I, MemUnit::L1D, MemUnit::L2, MemUnit::TlbL1, MemUnit::TlbL2];
-
-/// First-touch pre-state capture for one recording dispatch.
-#[derive(Debug, Default)]
-struct MemRecorder {
-    sets: Vec<(MemUnit, usize, usize, SetState)>,
-    sets_seen: HashSet<(MemUnit, usize, usize)>,
-    d_lines: Vec<(usize, u64)>,
-    d_seen: [bool; 2],
-    tlb_pages: Vec<(usize, u64)>,
-    tlb_seen: [bool; 2],
-    pf: Vec<(usize, usize, Entry)>,
-    pf_seen: HashSet<(usize, usize)>,
-    counters: Vec<u64>,
-}
-
-/// The memory-system half of a block footprint: per touched set the
-/// pre/post state, the shortcut state (last line / last page) of every
-/// data-touched copy, the pre/post of every consulted prefetch-table
-/// slot, and bulk counter deltas. The precondition is the pre side; a
-/// replay applies the post side and the deltas.
-#[derive(Debug, Clone)]
-pub(crate) struct MemFootprint {
-    sets: Vec<(MemUnit, usize, usize, SetState, SetState)>,
-    d_lines: Vec<(usize, u64, u64)>,
-    tlb_pages: Vec<(usize, u64, u64)>,
-    pf: Vec<(usize, usize, Entry, Entry)>,
-    counter_deltas: Vec<u64>,
 }
 
 fn owner_idx(owner: Owner) -> usize {
@@ -184,7 +138,6 @@ impl MemSystem {
             last_d_line: vec![NO_LINE; copies],
             d_line_shift: cfg.l1d.block.trailing_zeros(),
             shortcuts: cfg.mem_shortcuts,
-            rec: None,
         }
     }
 
@@ -204,15 +157,6 @@ impl MemSystem {
     /// software layer works with physical addresses (Sec. II-A-2).
     pub fn access_data(&mut self, owner: Owner, pc: u64, addr: u64, _is_store: bool) -> DataAccess {
         let c = self.copy(owner);
-        if self.rec.is_some() {
-            self.note_dline(c);
-            if is_guest_addr(addr) {
-                self.note_tlb(c, addr);
-            }
-            self.note_set(MemUnit::L1D, c, addr);
-            self.note_set(MemUnit::L2, c, addr);
-            self.note_pf(c, pc);
-        }
         self.stats[owner_idx(owner)].d_accesses += 1;
 
         let line = addr >> self.d_line_shift;
@@ -256,13 +200,6 @@ impl MemSystem {
         // shortcut path too: the prefetcher's stride state is observable
         // through future fills.
         if let Some(pf_addr) = self.prefetch[c].observe(pc, addr) {
-            if self.rec.is_some() {
-                // The prefetch fill touches its own sets; their pre-state
-                // is part of the footprint too (first-touch dedup makes
-                // this idempotent when they alias the demand sets).
-                self.note_set(MemUnit::L1D, c, pf_addr);
-                self.note_set(MemUnit::L2, c, pf_addr);
-            }
             if !self.l1d[c].contains(pf_addr) {
                 self.l1d[c].fill(pf_addr);
                 self.l2[c].fill(pf_addr);
@@ -280,14 +217,6 @@ impl MemSystem {
     /// statistics or latency.
     pub fn prefetch_fill(&mut self, owner: Owner, addr: u64) {
         let c = self.copy(owner);
-        if self.rec.is_some() {
-            self.note_dline(c);
-            if is_guest_addr(addr) {
-                self.note_tlb(c, addr);
-            }
-            self.note_set(MemUnit::L1D, c, addr);
-            self.note_set(MemUnit::L2, c, addr);
-        }
         if is_guest_addr(addr) {
             let _ = self.tlb[c].access(addr);
         }
@@ -300,10 +229,6 @@ impl MemSystem {
     /// Performs an instruction-fetch access for the line containing `pc`.
     pub fn access_inst(&mut self, owner: Owner, pc: u64) -> InstAccess {
         let c = self.copy(owner);
-        if self.rec.is_some() {
-            self.note_set(MemUnit::L1I, c, pc);
-            self.note_set(MemUnit::L2, c, pc);
-        }
         let s = &mut self.stats[owner_idx(owner)];
         s.i_accesses += 1;
         let l1_miss = self.l1i[c].access(pc) == Lookup::Miss;
@@ -318,182 +243,6 @@ impl MemSystem {
             1
         };
         InstAccess { latency, l1_miss }
-    }
-
-    fn unit_cache(&self, u: MemUnit, c: usize) -> &Cache {
-        match u {
-            MemUnit::L1I => &self.l1i[c],
-            MemUnit::L1D => &self.l1d[c],
-            MemUnit::L2 => &self.l2[c],
-            MemUnit::TlbL1 => self.tlb[c].level(0),
-            MemUnit::TlbL2 => self.tlb[c].level(1),
-        }
-    }
-
-    fn unit_cache_mut(&mut self, u: MemUnit, c: usize) -> &mut Cache {
-        match u {
-            MemUnit::L1I => &mut self.l1i[c],
-            MemUnit::L1D => &mut self.l1d[c],
-            MemUnit::L2 => &mut self.l2[c],
-            MemUnit::TlbL1 => self.tlb[c].level_mut(0),
-            MemUnit::TlbL2 => self.tlb[c].level_mut(1),
-        }
-    }
-
-    /// Captures the pre-state of the set `addr` maps to in unit `u`,
-    /// once per (unit, copy, set).
-    fn note_set(&mut self, u: MemUnit, c: usize, addr: u64) {
-        let cache = self.unit_cache(u, c);
-        let set_idx = cache.set_of(addr);
-        let rec = self.rec.as_mut().expect("recording");
-        if rec.sets_seen.insert((u, c, set_idx)) {
-            let state = self.unit_cache(u, c).capture_set(set_idx);
-            self.rec.as_mut().expect("recording").sets.push((u, c, set_idx, state));
-        }
-    }
-
-    /// Captures the last-line shortcut state of copy `c`, once.
-    fn note_dline(&mut self, c: usize) {
-        let line = self.last_d_line[c];
-        let rec = self.rec.as_mut().expect("recording");
-        if !rec.d_seen[c] {
-            rec.d_seen[c] = true;
-            rec.d_lines.push((c, line));
-        }
-    }
-
-    /// Captures the TLB sets of `addr` plus the last-page shortcut state
-    /// of copy `c` (the latter once per copy).
-    fn note_tlb(&mut self, c: usize, addr: u64) {
-        let page = self.tlb[c].last_page();
-        let rec = self.rec.as_mut().expect("recording");
-        if !rec.tlb_seen[c] {
-            rec.tlb_seen[c] = true;
-            rec.tlb_pages.push((c, page));
-        }
-        self.note_set(MemUnit::TlbL1, c, addr);
-        self.note_set(MemUnit::TlbL2, c, addr);
-    }
-
-    /// Captures the prefetch-table slot `pc` maps to, once per slot.
-    fn note_pf(&mut self, c: usize, pc: u64) {
-        let Some((idx, entry)) = self.prefetch[c].entry_at(pc) else { return };
-        let rec = self.rec.as_mut().expect("recording");
-        if rec.pf_seen.insert((c, idx)) {
-            rec.pf.push((c, idx, entry));
-        }
-    }
-
-    /// All counters in one canonical order, for bulk delta replay.
-    fn counters_snapshot(&self) -> Vec<u64> {
-        let copies = self.l1d.len();
-        let mut v = Vec::with_capacity(copies * 11 + 12);
-        for c in 0..copies {
-            for u in MEM_UNITS {
-                let (a, m) = self.unit_cache(u, c).counter_pair();
-                v.push(a);
-                v.push(m);
-            }
-            v.push(self.prefetch[c].issued());
-        }
-        for s in &self.stats {
-            v.extend([
-                s.d_accesses,
-                s.d_misses,
-                s.i_accesses,
-                s.i_misses,
-                s.tlb_walks,
-                s.sw_prefetches,
-            ]);
-        }
-        v
-    }
-
-    /// Starts a block-memo recording dispatch: until
-    /// [`MemSystem::end_record`], every access captures the pre-state of
-    /// what it touches, at first touch.
-    pub(crate) fn begin_record(&mut self) {
-        debug_assert!(self.rec.is_none(), "nested recording");
-        let mut rec = Box::<MemRecorder>::default();
-        rec.counters = self.counters_snapshot();
-        self.rec = Some(rec);
-    }
-
-    /// Ends a recording dispatch: pairs every captured pre-state with
-    /// the corresponding post-state and computes the counter deltas.
-    pub(crate) fn end_record(&mut self) -> MemFootprint {
-        let rec = self.rec.take().expect("recording");
-        let sets = rec
-            .sets
-            .into_iter()
-            .map(|(u, c, set_idx, pre)| {
-                let post = self.unit_cache(u, c).capture_set(set_idx);
-                (u, c, set_idx, pre, post)
-            })
-            .collect();
-        let d_lines =
-            rec.d_lines.into_iter().map(|(c, pre)| (c, pre, self.last_d_line[c])).collect();
-        let tlb_pages =
-            rec.tlb_pages.into_iter().map(|(c, pre)| (c, pre, self.tlb[c].last_page())).collect();
-        let pf =
-            rec.pf.into_iter().map(|(c, idx, pre)| (c, idx, pre, self.pf_entry(c, idx))).collect();
-        let now = self.counters_snapshot();
-        let counter_deltas = now.iter().zip(&rec.counters).map(|(post, pre)| post - pre).collect();
-        MemFootprint { sets, d_lines, tlb_pages, pf, counter_deltas }
-    }
-
-    fn pf_entry(&self, c: usize, idx: usize) -> Entry {
-        // A recorded slot implies a non-empty table.
-        self.prefetch[c].entry_at((idx as u64) << 2).expect("prefetcher enabled").1
-    }
-
-    /// Verifies that every structure the recorded block touched is in
-    /// the exact state it was in when the footprint was recorded.
-    pub(crate) fn check_pre(&self, fp: &MemFootprint) -> bool {
-        fp.sets
-            .iter()
-            .all(|(u, c, set_idx, pre, _)| self.unit_cache(*u, *c).capture_set(*set_idx) == *pre)
-            && fp.d_lines.iter().all(|(c, pre, _)| self.last_d_line[*c] == *pre)
-            && fp.tlb_pages.iter().all(|(c, pre, _)| self.tlb[*c].last_page() == *pre)
-            && fp.pf.iter().all(|(c, idx, pre, _)| self.pf_entry(*c, *idx) == *pre)
-    }
-
-    /// Bulk-applies a verified footprint: restores every touched set,
-    /// the shortcut state, the prefetch-table slots, and advances all
-    /// counters by the recorded deltas.
-    pub(crate) fn apply(&mut self, fp: &MemFootprint) {
-        for (u, c, set_idx, _, post) in &fp.sets {
-            self.unit_cache_mut(*u, *c).restore_set(*set_idx, post);
-        }
-        for (c, _, post) in &fp.d_lines {
-            self.last_d_line[*c] = *post;
-        }
-        for (c, _, post) in &fp.tlb_pages {
-            self.tlb[*c].set_last_page(*post);
-        }
-        for (c, idx, _, post) in &fp.pf {
-            self.prefetch[*c].set_entry(*idx, *post);
-        }
-        let copies = self.l1d.len();
-        let mut it = fp.counter_deltas.iter().copied();
-        let mut next = || it.next().expect("delta layout matches snapshot layout");
-        for c in 0..copies {
-            for u in MEM_UNITS {
-                let (a, m) = (next(), next());
-                self.unit_cache_mut(u, c).add_counter_deltas(a, m);
-            }
-            let n = next();
-            self.prefetch[c].add_issued(n);
-        }
-        for i in 0..2 {
-            let s = &mut self.stats[i];
-            s.d_accesses += next();
-            s.d_misses += next();
-            s.i_accesses += next();
-            s.i_misses += next();
-            s.tlb_walks += next();
-            s.sw_prefetches += next();
-        }
     }
 
     /// Per-owner demand statistics.

@@ -25,55 +25,40 @@ use darco_host::stream::NO_REG;
 use darco_host::{Component, DynInst, ExecClass, Owner};
 use std::collections::VecDeque;
 
-pub(crate) const REGS: usize = 96; // 64 int + 32 fp
+const REGS: usize = 96; // 64 int + 32 fp
 
 /// Trace-driven pipeline simulator; feed with [`Pipeline::retire`] and
 /// collect results with [`Pipeline::finish`].
 #[derive(Debug)]
 pub struct Pipeline {
-    pub(crate) cfg: TimingConfig,
-    pub(crate) mem: MemSystem,
-    pub(crate) pred: Vec<Predictor>,
-    pub(crate) stats: Stats,
+    cfg: TimingConfig,
+    mem: MemSystem,
+    pred: Vec<Predictor>,
+    stats: Stats,
 
-    pub(crate) reg_ready: [u64; REGS],
-    pub(crate) reg_load_miss: [bool; REGS],
-    pub(crate) reg_producer: [Component; REGS],
+    reg_ready: [u64; REGS],
+    reg_load_miss: [bool; REGS],
+    reg_producer: [Component; REGS],
 
-    pub(crate) last_issue: u64,
-    pub(crate) issued_in_cycle: u32,
-    pub(crate) iq_ring: VecDeque<u64>,
+    last_issue: u64,
+    issued_in_cycle: u32,
+    iq_ring: VecDeque<u64>,
 
-    pub(crate) fetch_pos: u64,
-    pub(crate) fetch_in_cycle: u32,
-    pub(crate) last_fetch_line: u64,
+    fetch_pos: u64,
+    fetch_in_cycle: u32,
+    last_fetch_line: u64,
     i_line_shift: u32,
-    pub(crate) redirect_at: Option<(u64, Component)>,
+    redirect_at: Option<(u64, Component)>,
 
     // Two units per complex class (one per pipe), unpipelined.
-    pub(crate) unit_free_cint: [u64; 2],
-    pub(crate) unit_free_sfp: [u64; 2],
-    pub(crate) unit_free_cfp: [u64; 2],
+    unit_free_cint: [u64; 2],
+    unit_free_sfp: [u64; 2],
+    unit_free_cfp: [u64; 2],
 
-    pub(crate) max_completion: u64,
-
-    /// Ordered log of `add_bubble` calls, active during a block-memo
-    /// recording dispatch. Replaying the log applies bitwise-identical
-    /// `f64` accumulations in the original order.
-    pub(crate) bubble_log: Option<Vec<(Component, BubbleCause, f64)>>,
-
-    // Block-memo fetch-clock classification counters (see memo.rs):
-    // how often the decode-ready time was the binding issue constraint,
-    // how often a redirect resynced the fetch clock to the issue clock,
-    // and how often a pending redirect was consumed *without* a resync
-    // (target time already behind the fetch position). Deltas across a
-    // recording decide whether the fetch clock was observable.
-    pub(crate) fetch_bound: u64,
-    pub(crate) fetch_resync: u64,
-    pub(crate) fetch_take_behind: u64,
+    max_completion: u64,
 }
 
-pub(crate) fn pred_idx(interaction: Interaction, owner: Owner) -> usize {
+fn pred_idx(interaction: Interaction, owner: Owner) -> usize {
     match (interaction, owner) {
         (Interaction::Shared, _) => 0,
         (Interaction::Isolated, Owner::App) => 0,
@@ -113,10 +98,6 @@ impl Pipeline {
             unit_free_sfp: [0; 2],
             unit_free_cfp: [0; 2],
             max_completion: 0,
-            bubble_log: None,
-            fetch_bound: 0,
-            fetch_resync: 0,
-            fetch_take_behind: 0,
             cfg,
         }
     }
@@ -138,9 +119,6 @@ impl Pipeline {
             if at > fetch {
                 fetch = at;
                 frontend_cause = Some((BubbleCause::Branch, comp));
-                self.fetch_resync += 1;
-            } else {
-                self.fetch_take_behind += 1;
             }
             self.last_fetch_line = u64::MAX; // refetch the target line
         }
@@ -208,11 +186,6 @@ impl Pipeline {
         let (t_unit, unit_slot) = self.unit_constraint(d.class);
 
         let issue = t_front.max(t_inorder).max(t_src).max(t_unit);
-        if issue == t_front && decode_ready >= iq_ready {
-            // The fetch clock (not IQ backpressure) bound this issue
-            // time: the block-memo cannot treat it as unobservable.
-            self.fetch_bound += 1;
-        }
 
         // ---- Bubble attribution -------------------------------------
         let gap = issue.saturating_sub(self.last_issue + 1) as f64;
@@ -235,9 +208,6 @@ impl Pipeline {
                 (BubbleCause::Scheduling, d.component)
             };
             self.stats.add_bubble(comp, cause, bubble);
-            if let Some(log) = &mut self.bubble_log {
-                log.push((comp, cause, bubble));
-            }
         }
 
         if issue > self.last_issue {

@@ -95,58 +95,6 @@ impl Predictor {
         wrong
     }
 
-    /// Global history register, for the block-memo pre-walk.
-    pub(crate) fn history(&self) -> u32 {
-        self.history
-    }
-
-    /// Restores the global history register.
-    pub(crate) fn set_history(&mut self, h: u32) {
-        self.history = h;
-    }
-
-    /// Gshare history/index mask.
-    pub(crate) fn history_mask(&self) -> u32 {
-        self.history_mask
-    }
-
-    /// BTB index mask.
-    pub(crate) fn btb_mask(&self) -> u64 {
-        self.btb_mask
-    }
-
-    /// One PHT counter.
-    pub(crate) fn pht_entry(&self, idx: usize) -> u8 {
-        self.pht[idx]
-    }
-
-    /// Restores one PHT counter.
-    pub(crate) fn set_pht_entry(&mut self, idx: usize, v: u8) {
-        self.pht[idx] = v;
-    }
-
-    /// One BTB entry as `(tag, target)`.
-    pub(crate) fn btb_entry(&self, idx: usize) -> (u64, u64) {
-        (self.btb_tags[idx], self.btb_targets[idx])
-    }
-
-    /// Restores one BTB entry.
-    pub(crate) fn set_btb_entry(&mut self, idx: usize, tag: u64, target: u64) {
-        self.btb_tags[idx] = tag;
-        self.btb_targets[idx] = target;
-    }
-
-    /// Branch/mispredict counters as a pair.
-    pub(crate) fn counter_pair(&self) -> (u64, u64) {
-        (self.branches, self.mispredicts)
-    }
-
-    /// Bulk-advances the counters by recorded deltas.
-    pub(crate) fn add_counter_deltas(&mut self, branches: u64, mispredicts: u64) {
-        self.branches += branches;
-        self.mispredicts += mispredicts;
-    }
-
     /// Control transfers observed.
     pub fn branches(&self) -> u64 {
         self.branches

@@ -6,8 +6,8 @@
 //! prefetched into the L1 data cache.
 
 /// One prefetch-table entry.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct Entry {
+#[derive(Debug, Clone, Copy, Default)]
+struct Entry {
     pc: u64,
     last_addr: u64,
     stride: i64,
@@ -70,26 +70,6 @@ impl StridePrefetcher {
     /// Prefetches issued so far.
     pub fn issued(&self) -> u64 {
         self.issued
-    }
-
-    /// Table slot `pc` maps to plus its current contents, for the
-    /// block-memo footprint (`None` when prefetching is disabled).
-    pub(crate) fn entry_at(&self, pc: u64) -> Option<(usize, Entry)> {
-        if self.table.is_empty() {
-            return None;
-        }
-        let idx = ((pc >> 2) & self.mask) as usize;
-        Some((idx, self.table[idx]))
-    }
-
-    /// Restores one table slot from a capture.
-    pub(crate) fn set_entry(&mut self, idx: usize, e: Entry) {
-        self.table[idx] = e;
-    }
-
-    /// Bulk-advances the issued counter by a recorded delta.
-    pub(crate) fn add_issued(&mut self, n: u64) {
-        self.issued += n;
     }
 }
 

@@ -225,6 +225,21 @@ impl Stats {
     }
 }
 
+/// Counters of the retired block-timing memo, which no longer exists:
+/// every field is always zero. The type is kept only so that the
+/// repository benchmark (`perfbench/`), which reads
+/// `TimingSink::memo_stats()`, builds unchanged; nothing in the
+/// simulator writes it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Block replays; always zero.
+    pub hits: u64,
+    /// Rejected replays; always zero.
+    pub precondition_misses: u64,
+    /// Instructions replayed; always zero.
+    pub insts_replayed: u64,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -108,20 +108,6 @@ pub struct TolConfig {
     /// wall-clock switch.
     #[serde(default = "default_translate_workers")]
     pub translate_workers: usize,
-    /// Collapse steady-state translated-block retirement into one
-    /// [`HostEvent::BlockRetire`] macro-event per execution: once a
-    /// block has executed [`MEMO_STEADY`] times, the engine collects its
-    /// retired stream, proves it identical to the previous execution's,
-    /// and emits a single macro-event carrying the shared stream instead
-    /// of per-instruction events (DESIGN.md §16). Consumers expand the
-    /// macro-event (or memoize its timing), so every serialized report
-    /// is byte-identical either way. `false` keeps the always-available
-    /// per-instruction oracle. Purely a simulator-speed switch.
-    ///
-    /// [`HostEvent::BlockRetire`]: darco_host::events::HostEvent::BlockRetire
-    /// [`MEMO_STEADY`]: crate::engine::Tol::MEMO_STEADY
-    #[serde(default = "default_block_memo")]
-    pub block_memo: bool,
     /// Guest-layer fast path: pre-decoded micro-op buffers with lazy
     /// flag materialization in the interpreter ([`ExecCtx`]), plus the
     /// width-native [`GuestMem`] access path with its L0 page-pointer
@@ -138,15 +124,7 @@ pub struct TolConfig {
 
 /// Serde default for [`TolConfig::guest_fast_path`] (profiles written
 /// before the fast path existed deserialize with it enabled).
-#[allow(dead_code)] // consumed via the serde attribute with real serde
 fn default_guest_fast_path() -> bool {
-    true
-}
-
-/// Serde default for [`TolConfig::block_memo`] (profiles written before
-/// macro-events existed deserialize with them enabled).
-#[allow(dead_code)] // consumed via the serde attribute with real serde
-fn default_block_memo() -> bool {
     true
 }
 
@@ -184,7 +162,6 @@ impl Default for TolConfig {
             retire_templates: true,
             interp_decode_cache: true,
             translate_workers: default_translate_workers(),
-            block_memo: true,
             guest_fast_path: true,
         }
     }

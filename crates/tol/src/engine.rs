@@ -39,65 +39,9 @@ use darco_host::{
     exec_inst, BlockId, BranchKind, DynInst, Exit, HFreg, HInst, HostState, Outcome, RetireDyn,
 };
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Execution mode (re-export of the profiler's mode classification).
 pub type Mode = StaticMode;
-
-/// Where a block execution's retired instructions go: straight into the
-/// event buffer (the per-instruction path), or into a collection buffer
-/// the macro-event memo compares against the previous execution.
-enum BlockOut<'e, 'b> {
-    /// Emit per-instruction `Retire` events.
-    Events(&'e mut EventBuffer<'b>),
-    /// Collect into a scratch stream for the macro-event compare.
-    Scratch(&'e mut Vec<DynInst>),
-}
-
-impl BlockOut<'_, '_> {
-    #[inline]
-    fn retire(&mut self, d: DynInst) {
-        match self {
-            BlockOut::Events(ev) => ev.retire(d),
-            BlockOut::Scratch(v) => v.push(d),
-        }
-    }
-}
-
-/// Engine-side macro-event memo for one code-cache slot.
-#[derive(Debug)]
-struct BlockMemoSlot {
-    /// Slot generation the memo was recorded under.
-    gen: u32,
-    /// The last execution's retired stream. Kept as a shared allocation
-    /// so a matching execution re-emits the *same* `Arc` — downstream
-    /// consumers key their own memos on its pointer identity.
-    stream: Option<Arc<[DynInst]>>,
-    /// Macro-events emitted against the current `stream`.
-    iterations: u64,
-    /// Consecutive executions whose stream differed from the stored
-    /// one; at [`Tol::MEMO_ABANDON`] the block stops being collected.
-    fails: u32,
-}
-
-/// Engine-side macro-event counters. Deliberately not part of
-/// [`RunSummary`] or any serialized report: those stay byte-identical
-/// across [`TolConfig::block_memo`] settings.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct EngineMemoStats {
-    /// `BlockRetire` macro-events emitted with a proven-identical
-    /// (shared-`Arc`) stream.
-    pub macro_events: u64,
-    /// Per-instruction `Retire` events suppressed by those macro-events.
-    pub insts_suppressed: u64,
-    /// Executions whose stream differed from the stored one (or had no
-    /// stored stream) and re-recorded the memo.
-    pub records: u64,
-    /// Memos dropped for evictions, flushes or generation bumps.
-    pub invalidations: u64,
-    /// Blocks abandoned after repeated stream changes.
-    pub abandoned: u64,
-}
 
 /// Counters the engine maintains across a run.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
@@ -222,13 +166,6 @@ pub struct Tol {
     pending: std::collections::HashMap<(JobKind, u32), PendingJob>,
     /// Engine-side pool counters (enqueues, joins, discards).
     pool_counts: TranslationPoolStats,
-    /// Per-slot macro-event memos, keyed by code-cache slot index
-    /// (invalidated on eviction, flush, and generation bump).
-    block_memo: std::collections::HashMap<u32, BlockMemoSlot>,
-    /// Reused collection buffer for the macro-event compare.
-    memo_scratch: Vec<DynInst>,
-    /// Engine-side macro-event counters (not serialized into reports).
-    memo_counts: EngineMemoStats,
 }
 
 impl Tol {
@@ -265,9 +202,6 @@ impl Tol {
             pool,
             pending: std::collections::HashMap::new(),
             pool_counts: TranslationPoolStats::default(),
-            block_memo: std::collections::HashMap::new(),
-            memo_scratch: Vec::new(),
-            memo_counts: EngineMemoStats::default(),
             cfg,
         };
         tol.store_cpu(&CpuState::at(entry));
@@ -533,9 +467,6 @@ impl Tol {
             ev.push(HostEvent::Evict { entry: e.entry, smc: e.smc });
             self.ibtc.invalidate(e.id);
             self.spec_targets.retain(|&(b, _), &mut (_, to)| b != e.id && to != e.id);
-            if self.block_memo.remove(&e.id.idx).is_some() {
-                self.memo_counts.invalidations += 1;
-            }
         }
     }
 
@@ -594,8 +525,6 @@ impl Tol {
         if ins.flushed {
             self.ibtc.clear();
             self.spec_targets.clear();
-            self.memo_counts.invalidations += self.block_memo.len() as u64;
-            self.block_memo.clear();
         }
         self.note_evictions(&ins.evicted, ev);
         ev.push(HostEvent::Translated { entry, kind: TranslationKind::Bb, host_len });
@@ -675,8 +604,6 @@ impl Tol {
         if ins.flushed {
             self.ibtc.clear();
             self.spec_targets.clear();
-            self.memo_counts.invalidations += self.block_memo.len() as u64;
-            self.block_memo.clear();
         }
         self.note_evictions(&ins.evicted, ev);
         ev.push(HostEvent::Translated { entry, kind: TranslationKind::Sb, host_len });
@@ -809,14 +736,6 @@ impl Tol {
         s
     }
 
-    /// Engine-side macro-event memo statistics (simulator-speed side
-    /// only). Deliberately not part of [`RunSummary`] or any serialized
-    /// report: those stay byte-identical across
-    /// [`TolConfig::block_memo`] settings.
-    pub fn memo_stats(&self) -> EngineMemoStats {
-        self.memo_counts
-    }
-
     /// Follows promotion redirects (the patched entry jump of a promoted
     /// BBM block), charging one application-side jump per hop. A stale
     /// redirect target (the replacing superblock was itself evicted) is
@@ -876,7 +795,7 @@ impl Tol {
                 return Ok(executed);
             }
 
-            let (exit, exit_idx, guest_n, cond_taken) = self.exec_block_memo(bid, mem, ev);
+            let (exit, exit_idx, guest_n, cond_taken) = self.exec_block(bid, mem, ev);
             executed += guest_n;
             self.counters.guest_insts += guest_n;
 
@@ -1063,90 +982,6 @@ impl Tol {
         }
     }
 
-    /// Executions before a translated block is considered steady-state
-    /// and its retirement collapses into one
-    /// [`HostEvent::BlockRetire`] macro-event per execution (gated by
-    /// [`TolConfig::block_memo`]). Cold blocks keep emitting
-    /// per-instruction events so short-lived translations never pay the
-    /// collection overhead.
-    pub const MEMO_STEADY: u64 = 8;
-
-    /// Consecutive executions with a changed retirement stream after
-    /// which macro-event collection for the block is abandoned (it
-    /// reverts to per-instruction events). Matching executions reset
-    /// the count, so an occasional divergent iteration — a loop's final
-    /// trip, a rare side exit — never abandons a block.
-    const MEMO_ABANDON: u32 = 4;
-
-    /// Macro-event dispatch: cold blocks (and memo-disabled, stale or
-    /// abandoned ones) execute straight into the event buffer; a
-    /// steady-state block collects its retired stream into the scratch
-    /// buffer, compares it with the previous execution's, and emits one
-    /// [`HostEvent::BlockRetire`]. On a match the *stored* `Arc` is
-    /// re-emitted, so downstream consumers can prove stream identity by
-    /// pointer comparison; on a mismatch a fresh `Arc` is minted and
-    /// stored (consumers transparently re-record). Either way the
-    /// expanded stream is bit-identical to the per-instruction path.
-    fn exec_block_memo(
-        &mut self,
-        bid: BlockId,
-        mem: &mut GuestMem,
-        ev: &mut EventBuffer<'_>,
-    ) -> (Exit, usize, u64, Option<bool>) {
-        // `exec_count` holds *prior* executions: `run_translated`
-        // increments it after this returns.
-        let exec_count = self.cc.block(bid).expect("guarded live at dispatch").exec_count;
-        if !self.cfg.block_memo || exec_count < Self::MEMO_STEADY {
-            return self.exec_block(bid, mem, &mut BlockOut::Events(ev));
-        }
-        match self.block_memo.get(&bid.idx) {
-            // A reused slot index under a new generation is a different
-            // translation; drop the stale memo and start over.
-            Some(slot) if slot.gen != bid.gen => {
-                self.block_memo.remove(&bid.idx);
-                self.memo_counts.invalidations += 1;
-            }
-            Some(slot) if slot.fails >= Self::MEMO_ABANDON => {
-                return self.exec_block(bid, mem, &mut BlockOut::Events(ev));
-            }
-            _ => {}
-        }
-        let mut scratch = std::mem::take(&mut self.memo_scratch);
-        scratch.clear();
-        let ret = self.exec_block(bid, mem, &mut BlockOut::Scratch(&mut scratch));
-        let slot = self.block_memo.entry(bid.idx).or_insert(BlockMemoSlot {
-            gen: bid.gen,
-            stream: None,
-            iterations: 0,
-            fails: 0,
-        });
-        self.memo_counts.macro_events += 1;
-        self.memo_counts.insts_suppressed += scratch.len() as u64;
-        let stream = match &slot.stream {
-            Some(s) if **s == *scratch => {
-                slot.fails = 0;
-                slot.iterations += 1;
-                Arc::clone(s)
-            }
-            prior => {
-                if prior.is_some() {
-                    slot.fails += 1;
-                    if slot.fails == Self::MEMO_ABANDON {
-                        self.memo_counts.abandoned += 1;
-                    }
-                }
-                let fresh: Arc<[DynInst]> = scratch.as_slice().into();
-                slot.stream = Some(Arc::clone(&fresh));
-                slot.iterations = 1;
-                self.memo_counts.records += 1;
-                fresh
-            }
-        };
-        ev.push(HostEvent::BlockRetire { block: bid, iteration: slot.iterations, insts: stream });
-        self.memo_scratch = scratch;
-        ret
-    }
-
     /// Executes one translated block functionally, emitting its dynamic
     /// host instructions. Returns the exit, the host index of the exit
     /// instruction, guest instructions retired, and — when the block ends
@@ -1160,12 +995,12 @@ impl Tol {
         &mut self,
         bid: BlockId,
         mem: &mut GuestMem,
-        out: &mut BlockOut<'_, '_>,
+        ev: &mut EventBuffer<'_>,
     ) -> (Exit, usize, u64, Option<bool>) {
         if self.cfg.retire_templates {
-            self.exec_block_templates(bid, mem, out)
+            self.exec_block_templates(bid, mem, ev)
         } else {
-            self.exec_block_rederive(bid, mem, out)
+            self.exec_block_rederive(bid, mem, ev)
         }
     }
 
@@ -1176,7 +1011,7 @@ impl Tol {
         &mut self,
         bid: BlockId,
         mem: &mut GuestMem,
-        out: &mut BlockOut<'_, '_>,
+        ev: &mut EventBuffer<'_>,
     ) -> (Exit, usize, u64, Option<bool>) {
         let block = self.cc.block(bid).expect("guarded live at dispatch");
         let mut idx = 0usize;
@@ -1220,7 +1055,7 @@ impl Tol {
                 RetireDyn::Fixed | RetireDyn::Mem { .. } => {}
             }
             app_insts += 1;
-            out.retire(d);
+            ev.retire(d);
 
             match outcome {
                 Outcome::Next => idx += 1,
@@ -1242,7 +1077,7 @@ impl Tol {
         &mut self,
         bid: BlockId,
         mem: &mut GuestMem,
-        out: &mut BlockOut<'_, '_>,
+        ev: &mut EventBuffer<'_>,
     ) -> (Exit, usize, u64, Option<bool>) {
         let block = self.cc.block(bid).expect("guarded live at dispatch");
         let host_base = block.host_base;
@@ -1330,7 +1165,7 @@ impl Tol {
                 _ => {}
             }
             app_insts += 1;
-            out.retire(d);
+            ev.retire(d);
 
             match outcome {
                 Outcome::Next => idx += 1,
@@ -1662,47 +1497,6 @@ mod tests {
         let (ref_cpu, ref_n) = run_reference(&mut mem_ref, entry);
         assert!(ref_cpu.arch_eq(&tol.emulated_state()));
         assert_eq!(tol.counters().guest_insts, ref_n);
-    }
-
-    /// Runs the program and collects the fully expanded retirement
-    /// stream (macro-events expanded by [`darco_host::RetireSink`]).
-    fn collect_stream(mem: &mut GuestMem, entry: u32, cfg: TolConfig) -> (Tol, Vec<DynInst>) {
-        let mut tol = Tol::new(cfg, entry);
-        let mut cpu = CpuState::at(entry);
-        cpu.set_gpr(Gpr::Esp, 0x10_0000);
-        tol.set_state(&cpu);
-        let mut stream = Vec::new();
-        let mut sink = darco_host::RetireSink(|d: &DynInst| stream.push(*d));
-        tol.run(mem, &mut sink, 50_000_000).unwrap();
-        (tol, stream)
-    }
-
-    #[test]
-    fn macro_events_expand_to_the_per_instruction_stream() {
-        let (mut mem_off, entry) = loop_program(20_000);
-        let cfg_off = TolConfig { block_memo: false, ..TolConfig::default() };
-        let (tol_off, stream_off) = collect_stream(&mut mem_off, entry, cfg_off);
-        assert_eq!(tol_off.memo_stats().macro_events, 0, "memo off emits none");
-
-        let (mut mem_on, _) = loop_program(20_000);
-        let (tol_on, stream_on) = collect_stream(&mut mem_on, entry, TolConfig::default());
-        let s = tol_on.memo_stats();
-        assert!(s.macro_events > 0, "hot loop must go steady-state");
-        assert!(s.insts_suppressed > s.records, "streams must mostly repeat");
-        assert_eq!(tol_on.counters().guest_insts, tol_off.counters().guest_insts);
-        assert_eq!(stream_on.len(), stream_off.len());
-        assert!(stream_on == stream_off, "expanded streams must be bit-identical");
-    }
-
-    #[test]
-    fn memo_survives_side_exit_divergence() {
-        // The loop's final iteration leaves through a different exit
-        // than the steady-state ones — one re-record, never an abandon.
-        let (mut mem, entry) = loop_program(20_000);
-        let (tol, _) = collect_stream(&mut mem, entry, TolConfig::default());
-        let s = tol.memo_stats();
-        assert_eq!(s.abandoned, 0, "occasional divergence must not abandon");
-        assert!(s.records < s.macro_events / 10, "re-records must be rare");
     }
 
     #[test]

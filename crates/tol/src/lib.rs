@@ -67,6 +67,6 @@ pub mod verify;
 
 pub use analysis::analyze_region_text;
 pub use config::TolConfig;
-pub use engine::{EngineMemoStats, Mode, RunSummary, StepOutcome, Tol, TolCounters};
+pub use engine::{Mode, RunSummary, StepOutcome, Tol, TolCounters};
 pub use pool::TranslationPoolStats;
 pub use verify::{PassDelta, VerifyFailure, VerifyStats};

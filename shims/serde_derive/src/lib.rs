@@ -7,14 +7,27 @@
 //! code targets the vendored `serde` shim's `to_value`/`from_value`
 //! traits and follows serde's externally-tagged enum representation
 //! and transparent newtype structs.
+//!
+//! The only field attribute implemented is `#[serde(default = "path")]`
+//! on a named field: a missing key deserializes to `path()`. Every other
+//! `#[serde(...)]` form, and `default` anywhere but on a named field, is
+//! rejected at derive time, so an option this shim does not implement
+//! can never be dropped silently.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
+
+/// One named field: its name and, for `#[serde(default = "path")]`,
+/// the path of the function that supplies a missing value.
+struct Field {
+    name: String,
+    default: Option<String>,
+}
 
 /// Field layout of a struct or of one enum variant.
 enum Shape {
     Unit,
     Tuple(usize),
-    Named(Vec<String>),
+    Named(Vec<Field>),
 }
 
 enum Kind {
@@ -29,14 +42,66 @@ struct Input {
 
 type Toks = std::iter::Peekable<proc_macro::token_stream::IntoIter>;
 
-fn skip_attrs(toks: &mut Toks) {
+/// Reads one attribute body (the text inside `#[...]`). Attributes
+/// other than `serde` give `Ok(None)`; `serde(default = "path")` gives
+/// the path; any other `serde(...)` form is an error.
+fn serde_default(body: &str) -> Result<Option<String>, String> {
+    let compact: String = body.split_whitespace().collect();
+    let Some(args) = compact.strip_prefix("serde") else { return Ok(None) };
+    if args.starts_with(|c: char| c.is_alphanumeric() || c == '_') {
+        return Ok(None); // another attribute whose name starts with `serde`
+    }
+    let path = args
+        .strip_prefix("(default=\"")
+        .and_then(|rest| rest.strip_suffix("\")"))
+        .filter(|p| is_path(p));
+    match path {
+        Some(p) => Ok(Some(p.to_string())),
+        None => Err(format!(
+            "unsupported attribute `#[{body}]`: only `#[serde(default = \"path\")]` is implemented"
+        )),
+    }
+}
+
+/// Whether `p` is a plain Rust path (`a`, `a::b`, ...).
+fn is_path(p: &str) -> bool {
+    p.split("::").all(|seg| {
+        seg.starts_with(|c: char| c.is_alphabetic() || c == '_')
+            && seg.chars().all(|c| c.is_alphanumeric() || c == '_')
+    })
+}
+
+/// Consumes a run of outer attributes and returns the default path of a
+/// `#[serde(default = "path")]` among them. Panics (a derive-time error)
+/// on any other `serde` attribute.
+fn take_attrs(toks: &mut Toks) -> Option<String> {
+    let mut default = None;
     while let Some(TokenTree::Punct(p)) = toks.peek() {
         if p.as_char() != '#' {
             break;
         }
         toks.next();
-        // The bracketed attribute body.
-        toks.next();
+        let body = match toks.next() {
+            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Bracket => g.stream(),
+            other => panic!("serde shim derive: expected attribute body, got {other:?}"),
+        };
+        let body = body.to_string();
+        match serde_default(&body) {
+            Ok(Some(path)) => default = Some(path),
+            Ok(None) => {}
+            Err(e) => panic!("serde shim derive: {e}"),
+        }
+    }
+    default
+}
+
+/// Consumes attributes where `#[serde(default = ...)]` has no meaning
+/// (containers, variants, tuple fields).
+fn skip_attrs(toks: &mut Toks, what: &str) {
+    if let Some(path) = take_attrs(toks) {
+        panic!(
+            "serde shim derive: `#[serde(default = \"{path}\")]` on {what}: only named fields take a default"
+        );
     }
 }
 
@@ -75,22 +140,22 @@ fn skip_past_comma(toks: &mut Toks) -> bool {
     any
 }
 
-fn parse_named_fields(body: TokenStream) -> Vec<String> {
+fn parse_named_fields(body: TokenStream) -> Vec<Field> {
     let mut toks: Toks = body.into_iter().peekable();
     let mut fields = Vec::new();
     loop {
-        skip_attrs(&mut toks);
+        let default = take_attrs(&mut toks);
         skip_vis(&mut toks);
         match toks.next() {
             Some(TokenTree::Ident(id)) => {
-                fields.push(id.to_string());
+                let name = id.to_string();
                 // Consume ':' then the type up to the next field.
                 let colon = toks.next();
                 assert!(
                     matches!(&colon, Some(TokenTree::Punct(p)) if p.as_char() == ':'),
-                    "serde shim derive: expected `:` after field `{}`",
-                    fields.last().unwrap()
+                    "serde shim derive: expected `:` after field `{name}`"
                 );
+                fields.push(Field { name, default });
                 skip_past_comma(&mut toks);
             }
             Some(other) => panic!("serde shim derive: unexpected token in fields: {other}"),
@@ -104,7 +169,7 @@ fn parse_tuple_arity(body: TokenStream) -> usize {
     let mut toks: Toks = body.into_iter().peekable();
     let mut arity = 0;
     loop {
-        skip_attrs(&mut toks);
+        skip_attrs(&mut toks, "a tuple field");
         skip_vis(&mut toks);
         if toks.peek().is_none() {
             break;
@@ -140,7 +205,7 @@ fn parse_shape_after_name(toks: &mut Toks) -> Shape {
 
 fn parse_input(input: TokenStream) -> Input {
     let mut toks: Toks = input.into_iter().peekable();
-    skip_attrs(&mut toks);
+    skip_attrs(&mut toks, "a container");
     skip_vis(&mut toks);
     let kw = match toks.next() {
         Some(TokenTree::Ident(id)) => id.to_string(),
@@ -163,7 +228,7 @@ fn parse_input(input: TokenStream) -> Input {
             let mut vt: Toks = body.into_iter().peekable();
             let mut variants = Vec::new();
             loop {
-                skip_attrs(&mut vt);
+                skip_attrs(&mut vt, "an enum variant");
                 match vt.next() {
                     Some(TokenTree::Ident(id)) => {
                         let vname = id.to_string();
@@ -204,7 +269,9 @@ fn gen_serialize(input: &Input) -> String {
         Kind::Struct(Shape::Named(fields)) => {
             let pairs: Vec<(String, String)> = fields
                 .iter()
-                .map(|f| (f.clone(), format!("::serde::Serialize::to_value(&self.{f})")))
+                .map(|Field { name: f, .. }| {
+                    (f.clone(), format!("::serde::Serialize::to_value(&self.{f})"))
+                })
                 .collect();
             obj_literal(&pairs)
         }
@@ -232,14 +299,15 @@ fn gen_serialize(input: &Input) -> String {
                         )
                     }
                     Shape::Named(fields) => {
-                        let pairs: Vec<(String, String)> = fields
+                        let names: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+                        let pairs: Vec<(String, String)> = names
                             .iter()
-                            .map(|f| (f.clone(), format!("::serde::Serialize::to_value({f})")))
+                            .map(|f| (f.to_string(), format!("::serde::Serialize::to_value({f})")))
                             .collect();
                         let inner = obj_literal(&pairs);
                         format!(
                             "{name}::{v} {{ {fields} }} => ::serde::Value::Obj(vec![({v:?}.to_string(), {inner})]),",
-                            fields = fields.join(", ")
+                            fields = names.join(", ")
                         )
                     }
                 };
@@ -253,6 +321,24 @@ fn gen_serialize(input: &Input) -> String {
              fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
          }}"
     )
+}
+
+/// The `name: expr` initializer deserializing one named field out of
+/// the object `src`: a required key, or `path()` when the key is
+/// missing and the field has a default.
+fn named_field(f: &Field, src: &str) -> String {
+    let name = &f.name;
+    match &f.default {
+        None => {
+            format!("{name}: ::serde::Deserialize::from_value(::serde::field({src}, {name:?})?)?")
+        }
+        Some(path) => format!(
+            "{name}: match {src}.get({name:?}) {{ \
+                 Some(x) => ::serde::Deserialize::from_value(x)?, \
+                 None => {path}(), \
+             }}"
+        ),
+    }
 }
 
 fn gen_deserialize(input: &Input) -> String {
@@ -274,12 +360,7 @@ fn gen_deserialize(input: &Input) -> String {
             )
         }
         Kind::Struct(Shape::Named(fields)) => {
-            let items: Vec<String> = fields
-                .iter()
-                .map(|f| {
-                    format!("{f}: ::serde::Deserialize::from_value(::serde::field(v, {f:?})?)?")
-                })
-                .collect();
+            let items: Vec<String> = fields.iter().map(|f| named_field(f, "v")).collect();
             format!("Ok({name} {{ {} }})", items.join(", "))
         }
         Kind::Enum(variants) => {
@@ -310,14 +391,8 @@ fn gen_deserialize(input: &Input) -> String {
                         ));
                     }
                     Shape::Named(fields) => {
-                        let items: Vec<String> = fields
-                            .iter()
-                            .map(|f| {
-                                format!(
-                                    "{f}: ::serde::Deserialize::from_value(::serde::field(inner, {f:?})?)?"
-                                )
-                            })
-                            .collect();
+                        let items: Vec<String> =
+                            fields.iter().map(|f| named_field(f, "inner")).collect();
                         tagged_arms.push_str(&format!(
                             "{v:?} => return Ok({name}::{v} {{ {items} }}),",
                             items = items.join(", ")
@@ -362,4 +437,40 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     gen_deserialize(&parsed)
         .parse()
         .expect("serde shim derive: generated Deserialize impl failed to parse")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::serde_default;
+
+    #[test]
+    fn default_path_is_read() {
+        assert_eq!(serde_default(r#"serde(default = "f")"#), Ok(Some("f".into())));
+        assert_eq!(
+            serde_default(r#"serde (default = "crate::cfg::f")"#),
+            Ok(Some("crate::cfg::f".into()))
+        );
+    }
+
+    #[test]
+    fn other_attributes_pass_through() {
+        assert_eq!(serde_default(r#"doc = " serde(skip) in prose""#), Ok(None));
+        assert_eq!(serde_default("allow(dead_code)"), Ok(None));
+        assert_eq!(serde_default("serde_like(x)"), Ok(None));
+    }
+
+    #[test]
+    fn unimplemented_serde_forms_are_rejected() {
+        for body in [
+            "serde(skip)",
+            "serde(default)",
+            r#"serde(rename = "x")"#,
+            r#"serde(default = "f", rename = "x")"#,
+            r#"serde(default = "")"#,
+            r#"serde(default = "f()")"#,
+            "serde",
+        ] {
+            assert!(serde_default(body).is_err(), "{body} must be rejected");
+        }
+    }
 }

@@ -96,36 +96,6 @@ fn run_mem_paths(profile_idx: usize, scale: f64, cosim: bool, fast: bool) -> Rep
     sys.run_to_completion()
 }
 
-/// Like [`run_with`], but with the block-timing memo (DESIGN.md §16)
-/// switched on both sides of the event bus together — the engine's
-/// steady-state macro-retire emission and the timing sinks' replay
-/// tables — versus the always-available per-instruction oracle.
-fn run_memo(
-    profile_idx: usize,
-    scale: f64,
-    backend: TimingBackendKind,
-    cosim: bool,
-    event_batch: usize,
-    memo: bool,
-) -> Report {
-    let profiles = suites::all_profiles();
-    let mut cfg = SystemConfig {
-        cosim,
-        app_only_pipeline: true,
-        tol_only_pipeline: true,
-        window_guest_insts: 20_000,
-        timing_backend: backend,
-        ..SystemConfig::default()
-    };
-    if event_batch > 0 {
-        cfg.tol.event_batch = event_batch;
-    }
-    cfg.tol.block_memo = memo;
-    cfg.timing.block_memo = memo;
-    let mut sys = System::new(generate(&profiles[profile_idx], scale), cfg);
-    sys.run_to_completion()
-}
-
 /// Like [`run_with`], but with the guest-layer fast path (DESIGN.md
 /// §17) switched: pre-decoded micro-op buffers with lazy flag
 /// materialization plus the width-native memory access path, versus the
@@ -293,67 +263,6 @@ fn memory_fast_paths_are_bit_identical_across_profiles() {
             fast.name
         );
     }
-}
-
-#[test]
-fn block_memo_is_bit_identical_across_backends_and_batches() {
-    // The acceptance matrix for the block-timing memo: against the
-    // memo-off per-instruction oracle, every timing backend at
-    // per-instruction delivery (batch 1), a mid batch and the
-    // default-sized 4096 batch produces a byte-identical report with
-    // the memo on — macro-retire bulk-apply included.
-    for &batch in &[1usize, 64, 4096] {
-        let oracle = run_memo(0, 0.04, TimingBackendKind::Inline, false, batch, false);
-        for &backend in &BACKENDS {
-            let memo = run_memo(0, 0.04, backend, false, batch, true);
-            assert_eq!(
-                fingerprint(&oracle),
-                fingerprint(&memo),
-                "block memo diverged on backend {backend:?} at event_batch {batch}"
-            );
-        }
-    }
-}
-
-#[test]
-fn block_memo_is_bit_identical_with_cosim() {
-    // The cosim checker consumes the same expanded stream the memo
-    // suppresses on the timing side, so it must still see every retire
-    // and still agree with the oracle run check for check.
-    let oracle = run_memo(0, 0.03, TimingBackendKind::Inline, true, 0, false);
-    for backend in [TimingBackendKind::Threaded, TimingBackendKind::Fanout] {
-        let memo = run_memo(0, 0.03, backend, true, 0, true);
-        assert!(memo.cosim_checks > 0, "checker must run as a sink");
-        assert_eq!(memo.cosim_checks, oracle.cosim_checks);
-        assert_eq!(
-            fingerprint(&oracle),
-            fingerprint(&memo),
-            "block memo diverged under cosim on backend {backend:?}"
-        );
-    }
-}
-
-#[test]
-fn block_memo_actually_engages() {
-    // Guard that the equalities above are not vacuous: under the
-    // default (memo-on) configuration the timing sinks must see
-    // macro-events and score real replay hits.
-    let profiles = suites::all_profiles();
-    let cfg = SystemConfig {
-        cosim: false,
-        app_only_pipeline: true,
-        tol_only_pipeline: true,
-        window_guest_insts: 20_000,
-        ..SystemConfig::default()
-    };
-    let mut sys = System::new(generate(&profiles[0], 0.05), cfg);
-    sys.run_to_completion();
-    let engine = sys.tol().memo_stats();
-    let timing = sys.memo_stats();
-    assert!(engine.macro_events > 0, "steady-state blocks must emit macro-events");
-    assert!(engine.insts_suppressed > 0);
-    assert!(timing.hits > 0, "replay must score hits on a loopy workload");
-    assert!(timing.insts_replayed > 0);
 }
 
 #[test]
